@@ -11,7 +11,7 @@ use br_mem::{MemResp, MemorySystem};
 use br_ooo::{
     BranchOutcome, CoreHooks, CycleReport, FetchedBranch, MispredictInfo, RetiredUop, WrongPathUop,
 };
-use br_telemetry::{CounterId, EventKind, GaugeId, HistId, Telemetry};
+use br_telemetry::{EventKind, GaugeId, HistId, Telemetry};
 
 use crate::agdetect::PoisonDetector;
 use crate::ceb::{CebRecord, ChainExtractionBuffer};
@@ -52,43 +52,6 @@ struct MergeValidation {
     seen: [Option<(bool, bool)>; 2],
     /// Active scan: (direction, remaining uops, wpb found, static found).
     tracking: Option<(bool, usize, bool, bool)>,
-}
-
-/// Pre-registered telemetry ids for the engine's instrumentation sites
-/// (inert defaults when the sink is disabled).
-#[derive(Clone, Copy, Debug, Default)]
-struct BrTeleIds {
-    extraction_attempts: CounterId,
-    chains_extracted: CounterId,
-    extraction_rejects: CounterId,
-    dce_flushes: CounterId,
-    dce_syncs: CounterId,
-    merge_events: CounterId,
-    hbt_inserts: CounterId,
-    hbt_evicts: CounterId,
-    faults_injected: CounterId,
-    machine_checks: CounterId,
-    chain_len: HistId,
-    cached_chains: GaugeId,
-}
-
-impl BrTeleIds {
-    fn register(tele: &mut Telemetry) -> Self {
-        BrTeleIds {
-            extraction_attempts: tele.counter("br.extraction_attempts"),
-            chains_extracted: tele.counter("br.chains_extracted"),
-            extraction_rejects: tele.counter("br.extraction_rejects"),
-            dce_flushes: tele.counter("br.dce_flushes"),
-            dce_syncs: tele.counter("br.dce_syncs"),
-            merge_events: tele.counter("br.merge_events"),
-            hbt_inserts: tele.counter("br.hbt_inserts"),
-            hbt_evicts: tele.counter("br.hbt_evicts"),
-            faults_injected: tele.counter("br.faults_injected"),
-            machine_checks: tele.counter("br.machine_checks"),
-            chain_len: tele.histogram("br.chain_len"),
-            cached_chains: tele.gauge("br.cached_chains"),
-        }
-    }
 }
 
 /// Point-in-time occupancy of the Branch Runahead structures, read by the
@@ -139,7 +102,9 @@ pub struct BranchRunahead {
     extract_scratch: ExtractScratch,
 
     tele: Telemetry,
-    tids: BrTeleIds,
+    /// Telemetry ids (inert while the sink is disabled).
+    chain_len: HistId,
+    cached_chains: GaugeId,
     /// HBT `(inserts, evicts)` at the last telemetry poll.
     last_hbt_churn: (u64, u64),
 }
@@ -177,7 +142,8 @@ impl BranchRunahead {
             finished_scans: Vec::new(),
             extract_scratch: ExtractScratch::default(),
             tele: Telemetry::off(),
-            tids: BrTeleIds::default(),
+            chain_len: HistId::default(),
+            cached_chains: GaugeId::default(),
             last_hbt_churn: (0, 0),
             cfg,
         }
@@ -186,7 +152,8 @@ impl BranchRunahead {
     /// Attaches a telemetry sink; the engine registers its metrics against
     /// it and records into it until [`BranchRunahead::take_telemetry`].
     pub fn attach_telemetry(&mut self, mut tele: Telemetry) {
-        self.tids = BrTeleIds::register(&mut tele);
+        self.chain_len = tele.histogram("br.chain_len");
+        self.cached_chains = tele.gauge("br.cached_chains");
         self.tele = tele;
         self.last_hbt_churn = self.hbt.churn();
     }
@@ -232,13 +199,14 @@ impl BranchRunahead {
         );
     }
 
-    /// Accumulated statistics, with WPB counters folded in.
+    /// Accumulated statistics, with WPB and HBT counters folded in.
     #[must_use]
     pub fn stats(&self) -> BrStats {
         let mut s = self.stats.clone();
         let (_, found, failed) = self.wpb.stats();
         s.merge_points_found = found;
         s.merge_points_failed = failed;
+        (s.hbt_inserts, s.hbt_evicts) = self.hbt.churn();
         s
     }
 
@@ -274,7 +242,6 @@ impl BranchRunahead {
     pub fn chaos_evict_chain(&mut self, sel: u64, cycle: u64) -> bool {
         let evicted = self.cache.chaos_evict(sel);
         if evicted {
-            self.tele.add(self.tids.faults_injected, 1);
             self.tele.event(cycle, EventKind::FaultInject, 0, 2);
         }
         evicted
@@ -283,14 +250,12 @@ impl BranchRunahead {
     /// Fault injection: forces an HBT decay storm.
     pub fn chaos_decay_storm(&mut self, cycle: u64) {
         self.hbt.chaos_decay_storm();
-        self.tele.add(self.tids.faults_injected, 1);
         self.tele.event(cycle, EventKind::FaultInject, 0, 3);
     }
 
     /// Fault injection: swallows the next DCE→prediction-queue push.
     pub fn chaos_drop_next_fill(&mut self, cycle: u64) {
         self.queues.chaos_drop_next_fill();
-        self.tele.add(self.tids.faults_injected, 1);
         self.tele.event(cycle, EventKind::FaultInject, 0, 1);
     }
 
@@ -301,11 +266,10 @@ impl BranchRunahead {
         self.dce.owns_request(id)
     }
 
-    /// Records a fault injected outside the engine (outcome flips and
-    /// DCE memory delays live in the simulator) so telemetry still sees
-    /// it. `kind_code` follows `br_sim::faults::FaultKind`.
+    /// Traces a fault injected outside the engine (outcome flips and
+    /// DCE memory delays live in the simulator) so the event stream still
+    /// shows it. `kind_code` follows `br_sim::faults::FaultKind`.
     pub fn record_external_fault(&mut self, cycle: u64, pc: Pc, kind_code: u64) {
-        self.tele.add(self.tids.faults_injected, 1);
         self.tele
             .event(cycle, EventKind::FaultInject, pc, kind_code);
     }
@@ -327,7 +291,7 @@ impl BranchRunahead {
     ///
     /// Returns the first violated invariant, described.
     pub fn check_invariants(&mut self, cycle: u64) -> Result<(), String> {
-        self.tele.add(self.tids.machine_checks, 1);
+        self.stats.machine_checks += 1;
         let result = self
             .queues
             .check_invariants()
@@ -346,7 +310,6 @@ impl BranchRunahead {
 
     fn run_extraction(&mut self, pc: Pc, cycle: u64) {
         self.stats.extraction_attempts += 1;
-        self.tele.add(self.tids.extraction_attempts, 1);
         let mut ag = self.hbt.affector_guards(pc);
         if !self.cfg.enable_affector_guards {
             ag.clear();
@@ -364,17 +327,15 @@ impl BranchRunahead {
                     self.stats.chains_with_ag += 1;
                 }
                 self.stats.uops_eliminated += chain.eliminated_uops as u64;
-                self.tele.add(self.tids.chains_extracted, 1);
-                self.tele.record(self.tids.chain_len, chain.len() as u64);
+                self.tele.record(self.chain_len, chain.len() as u64);
                 self.tele
                     .event(cycle, EventKind::ChainExtract, pc, chain.len() as u64);
                 self.cache.install(chain);
                 self.tele
-                    .set_gauge(self.tids.cached_chains, self.cache.len() as i64);
+                    .set_gauge(self.cached_chains, self.cache.len() as i64);
             }
             Err(_) => {
                 self.stats.extraction_rejects += 1;
-                self.tele.add(self.tids.extraction_rejects, 1);
                 self.tele.event(cycle, EventKind::ChainReject, pc, 0);
             }
         }
@@ -510,7 +471,7 @@ impl CoreHooks for BranchRunahead {
             if info.base_prediction == info.actual_taken {
                 self.queues.penalize(info.pc);
             }
-            self.tele.add(self.tids.dce_flushes, 1);
+            self.stats.dce_flushes += 1;
             self.tele.event(
                 info.cycle,
                 EventKind::DceFlush,
@@ -520,7 +481,6 @@ impl CoreHooks for BranchRunahead {
             self.dce.flush_all(&mut self.queues, &mut self.stats);
             self.queues.clear_all();
             if self.cache.has_match(info.pc, info.actual_taken) {
-                self.tele.add(self.tids.dce_syncs, 1);
                 self.tele.event(
                     info.cycle,
                     EventKind::DceSync,
@@ -540,7 +500,6 @@ impl CoreHooks for BranchRunahead {
             && self.cache.has_match(info.pc, info.actual_taken)
         {
             self.queues.clear_all();
-            self.tele.add(self.tids.dce_syncs, 1);
             self.tele.event(
                 info.cycle,
                 EventKind::DceSync,
@@ -570,7 +529,6 @@ impl CoreHooks for BranchRunahead {
         self.ceb.push(CebRecord::from_retired(u));
 
         if let Some(ev) = self.wpb.on_correct_retire(u) {
-            self.tele.add(self.tids.merge_events, 1);
             self.tele
                 .event(u.cycle, EventKind::WpbMerge, ev.branch_pc, ev.merge_pc);
             // Guard registration: the merge-predicted branch guards every
@@ -669,11 +627,9 @@ impl CoreHooks for BranchRunahead {
             let (inserts, evicts) = self.hbt.churn();
             let (last_i, last_e) = self.last_hbt_churn;
             for _ in last_i..inserts {
-                self.tele.add(self.tids.hbt_inserts, 1);
                 self.tele.event(b.cycle, EventKind::HbtInsert, b.pc, 0);
             }
             for _ in last_e..evicts {
-                self.tele.add(self.tids.hbt_evicts, 1);
                 self.tele.event(b.cycle, EventKind::HbtEvict, b.pc, 0);
             }
             self.last_hbt_churn = (inserts, evicts);

@@ -58,6 +58,9 @@ pub struct BrStats {
     pub dce_loads: u64,
     /// Synchronizations (live-in copies from the core).
     pub syncs: u64,
+    /// Whole-window flushes after a DCE-supplied misprediction (chain
+    /// divergence).
+    pub dce_flushes: u64,
 
     /// Per-category counts over retired covered branches (Figure 12).
     pub prediction_breakdown: HashMap<PredictionCategory, u64>,
@@ -78,6 +81,12 @@ pub struct BrStats {
     pub static_merge_correct: u64,
     /// Affector/guard pairs registered in the HBT.
     pub ag_pairs: u64,
+    /// HBT entry allocations (see `HardBranchTable::churn`).
+    pub hbt_inserts: u64,
+    /// HBT allocations that overwrote a live victim.
+    pub hbt_evicts: u64,
+    /// Machine-check invariant sweeps run over the engine.
+    pub machine_checks: u64,
 
     /// Retired covered-branch executions (Figure 12 denominator).
     pub covered_branch_retires: u64,
@@ -104,14 +113,19 @@ impl BrStats {
         }
     }
 
+    /// Covered-branch retires in `cat`.
+    #[must_use]
+    pub fn category_count(&self, cat: PredictionCategory) -> u64 {
+        self.prediction_breakdown.get(&cat).copied().unwrap_or(0)
+    }
+
     /// Fraction of covered-branch retires in `cat` (Figure 12 bars).
     #[must_use]
     pub fn category_fraction(&self, cat: PredictionCategory) -> f64 {
         if self.covered_branch_retires == 0 {
             return 0.0;
         }
-        let n = self.prediction_breakdown.get(&cat).copied().unwrap_or(0);
-        n as f64 / self.covered_branch_retires as f64
+        self.category_count(cat) as f64 / self.covered_branch_retires as f64
     }
 
     /// Merge-point prediction accuracy over validated samples (§4.4).

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use br_isa::{ExecRecord, Force, Machine, MachineCheckpoint, Program, Uop, UopKind, NUM_ARCH_REGS};
 use br_mem::{Cache, CacheConfig, MemResp, MemorySystem, ReqId, ReqSource, RequestError};
 use br_predictor::{ConditionalPredictor, Prediction, PredictorCheckpoint};
-use br_telemetry::{CounterId, EventKind, HistId, Telemetry};
+use br_telemetry::{EventKind, HistId, Telemetry};
 
 use crate::config::CoreConfig;
 use crate::hooks::{
@@ -111,31 +111,6 @@ pub struct CycleReport {
     pub done: bool,
 }
 
-/// Pre-registered telemetry ids for the core's instrumentation sites
-/// (inert defaults when the sink is disabled).
-#[derive(Clone, Copy, Debug, Default)]
-struct CoreTeleIds {
-    retired_uops: CounterId,
-    retired_branches: CounterId,
-    mispredicts: CounterId,
-    recoveries: CounterId,
-    squashed_uops: CounterId,
-    squash_len: HistId,
-}
-
-impl CoreTeleIds {
-    fn register(tele: &mut Telemetry) -> Self {
-        CoreTeleIds {
-            retired_uops: tele.counter("core.retired_uops"),
-            retired_branches: tele.counter("core.retired_branches"),
-            mispredicts: tele.counter("core.mispredicts"),
-            recoveries: tele.counter("core.recoveries"),
-            squashed_uops: tele.counter("core.squashed_uops"),
-            squash_len: tele.histogram("core.squash_len"),
-        }
-    }
-}
-
 /// The out-of-order core. Construct with [`Core::new`], then call
 /// [`Core::tick`] once per cycle, passing the shared memory system's
 /// responses for this cycle.
@@ -170,7 +145,8 @@ pub struct Core {
     stats: CoreStats,
     max_retired: u64,
     tele: Telemetry,
-    tids: CoreTeleIds,
+    /// Squash-length histogram id (inert while the sink is disabled).
+    squash_len: HistId,
 }
 
 impl std::fmt::Debug for Core {
@@ -230,14 +206,14 @@ impl Core {
             stats: CoreStats::default(),
             max_retired: u64::MAX,
             tele: Telemetry::off(),
-            tids: CoreTeleIds::default(),
+            squash_len: HistId::default(),
         }
     }
 
     /// Attaches a telemetry sink; the core registers its metrics against
     /// it and records into it until [`Core::take_telemetry`].
     pub fn attach_telemetry(&mut self, mut tele: Telemetry) {
-        self.tids = CoreTeleIds::register(&mut tele);
+        self.squash_len = tele.histogram("core.squash_len");
         self.tele = tele;
     }
 
@@ -459,11 +435,7 @@ impl Core {
         }
 
         self.fetch_stall_until = now + self.cfg.redirect_latency;
-        self.tele.add(self.tids.recoveries, 1);
-        self.tele
-            .add(self.tids.squashed_uops, wrong_path.len() as u64);
-        self.tele
-            .record(self.tids.squash_len, wrong_path.len() as u64);
+        self.tele.record(self.squash_len, wrong_path.len() as u64);
         self.tele
             .event(now, EventKind::Recovery, info.pc, wrong_path.len() as u64);
         hooks.on_mispredict(&info, &wrong_path, self.machine.cpu());
@@ -487,7 +459,6 @@ impl Core {
             let mut e = self.rob.pop_front().expect("checked front");
             retired += 1;
             self.stats.retired_uops += 1;
-            self.tele.add(self.tids.retired_uops, 1);
 
             // Architectural-equivalence fingerprint: fold only content
             // that is independent of prediction and timing. `next_pc`
@@ -537,10 +508,8 @@ impl Core {
                 self.machine.release(&ctl.machine_cp);
                 if ctl.conditional {
                     self.stats.retired_branches += 1;
-                    self.tele.add(self.tids.retired_branches, 1);
                     if ctl.mispredicted {
                         self.stats.mispredicts += 1;
-                        self.tele.add(self.tids.mispredicts, 1);
                     }
                     let site = self.stats.branch_sites.entry(e.uop.pc).or_default();
                     site.executed += 1;

@@ -3,7 +3,7 @@
 use br_core::BranchRunaheadConfig;
 use br_mem::MemoryConfig;
 use br_ooo::CoreConfig;
-use br_predictor::{Bimodal, ConditionalPredictor, Gshare, TageScl, TageSclConfig};
+use br_predictor::{ConditionalPredictor, TageScl, TageSclConfig};
 use br_telemetry::TelemetryConfig;
 
 /// Which baseline predictor the core uses.
@@ -15,10 +15,6 @@ pub enum PredictorKind {
     TageScl80,
     /// MTAGE-SC analogue with unlimited storage (Figures 1 and 11).
     MtageUnlimited,
-    /// Gshare (diagnostics only).
-    Gshare,
-    /// Bimodal (diagnostics only).
-    Bimodal,
 }
 
 impl PredictorKind {
@@ -29,8 +25,6 @@ impl PredictorKind {
             PredictorKind::TageScl64 => Box::new(TageScl::new(TageSclConfig::kb64())),
             PredictorKind::TageScl80 => Box::new(TageScl::new(TageSclConfig::kb80())),
             PredictorKind::MtageUnlimited => Box::new(TageScl::new(TageSclConfig::unlimited())),
-            PredictorKind::Gshare => Box::new(Gshare::new(16)),
-            PredictorKind::Bimodal => Box::new(Bimodal::new(14)),
         }
     }
 
@@ -41,8 +35,6 @@ impl PredictorKind {
             PredictorKind::TageScl64 => "tage-sc-l-64kb",
             PredictorKind::TageScl80 => "tage-sc-l-80kb",
             PredictorKind::MtageUnlimited => "mtage-unlimited",
-            PredictorKind::Gshare => "gshare",
-            PredictorKind::Bimodal => "bimodal",
         }
     }
 }

@@ -32,7 +32,6 @@ use br_ooo::{BranchOutcome, CoreHooks, FetchedBranch, MispredictInfo, RetiredUop
 
 use crate::job::{SimError, SimJob};
 use crate::runner::run_jobs_partial;
-use crate::system::SystemHooks;
 
 /// The fault taxonomy. Discriminants are the stable `arg` codes carried
 /// by `EventKind::FaultInject` telemetry events.
@@ -325,18 +324,18 @@ impl FaultInjector {
     }
 }
 
-/// Wraps the system's hooks for one core tick, bit-flipping chain
+/// Wraps the Branch Runahead engine for one core tick, bit-flipping chain
 /// outcomes on their way from the prediction queues to fetch. Every other
 /// hook delegates untouched: the fault surface is exactly the prediction
 /// hand-off, matching the paper's prediction-as-hint contract.
 pub struct FaultedHooks<'a> {
-    inner: &'a mut SystemHooks,
+    inner: &'a mut BranchRunahead,
     inj: &'a mut FaultInjector,
 }
 
 impl<'a> FaultedHooks<'a> {
     /// Wraps `inner`, perturbing it per `inj`'s schedule.
-    pub fn new(inner: &'a mut SystemHooks, inj: &'a mut FaultInjector) -> Self {
+    pub fn new(inner: &'a mut BranchRunahead, inj: &'a mut FaultInjector) -> Self {
         FaultedHooks { inner, inj }
     }
 }
@@ -346,9 +345,8 @@ impl CoreHooks for FaultedHooks<'_> {
         let value = self.inner.override_prediction(pc, base, cycle)?;
         if self.inj.roll(self.inj.spec.flip_outcome) {
             self.inj.stats.outcome_flips += 1;
-            if let Some(br) = self.inner.runahead_mut() {
-                br.record_external_fault(cycle, pc, FaultKind::FlipOutcome as u64);
-            }
+            self.inner
+                .record_external_fault(cycle, pc, FaultKind::FlipOutcome as u64);
             Some(!value)
         } else {
             Some(value)

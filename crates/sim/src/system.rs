@@ -2,13 +2,9 @@
 
 use br_core::{BrLiveState, BrStats, BranchRunahead, PredictionCategory};
 use br_energy::EnergyEvents;
-use br_isa::{CpuState, Machine, Pc};
+use br_isa::Machine;
 use br_mem::{MemResp, MemoryStats, MemorySystem};
-use br_ooo::{
-    BranchOutcome, CoreHooks, CoreStats, CycleReport, FetchedBranch, MispredictInfo, RetiredUop,
-    WrongPathUop,
-};
-use br_ooo::{Core, NullHooks};
+use br_ooo::{Core, CoreStats, NullHooks};
 use br_telemetry::{Sample, Telemetry, TelemetryRun};
 use br_workloads::WorkloadImage;
 
@@ -18,104 +14,6 @@ use crate::job::SimError;
 
 /// Cycles between machine-check invariant sweeps (when enabled).
 const MACHINE_CHECK_INTERVAL: u64 = 1024;
-
-/// The uniform observation/steering attachment of a [`System`]: either the
-/// baseline no-op hooks or a Branch Runahead engine. [`System::run`] drives
-/// one code path regardless of which is attached — the paper's "baseline
-/// vs. BR" distinction is data, not control flow.
-#[derive(Debug)]
-pub enum SystemHooks {
-    /// Baseline system: observe nothing, never override.
-    Baseline(NullHooks),
-    /// Branch Runahead attached (boxed: the engine is large).
-    Runahead(Box<BranchRunahead>),
-}
-
-impl SystemHooks {
-    /// Builds the hooks for a configuration.
-    #[must_use]
-    pub fn from_config(cfg: &SimConfig, retire_width: usize) -> Self {
-        match &cfg.runahead {
-            Some(rc) => SystemHooks::Runahead(Box::new(BranchRunahead::new(*rc, retire_width))),
-            None => SystemHooks::Baseline(NullHooks),
-        }
-    }
-
-    /// The Branch Runahead engine, when attached.
-    #[must_use]
-    pub fn runahead(&self) -> Option<&BranchRunahead> {
-        match self {
-            SystemHooks::Baseline(_) => None,
-            SystemHooks::Runahead(br) => Some(br),
-        }
-    }
-
-    /// Mutable access to the attached engine (telemetry attach/detach).
-    #[must_use]
-    pub fn runahead_mut(&mut self) -> Option<&mut BranchRunahead> {
-        match self {
-            SystemHooks::Baseline(_) => None,
-            SystemHooks::Runahead(br) => Some(br),
-        }
-    }
-
-    /// Advances the attached engine one cycle after the core's tick (the
-    /// DCE runs in the shadow of the core, consuming its spare resources).
-    fn post_tick(
-        &mut self,
-        cycle: u64,
-        machine: &Machine,
-        mem: &mut MemorySystem,
-        responses: &[MemResp],
-        report: &CycleReport,
-    ) {
-        if let SystemHooks::Runahead(br) = self {
-            br.tick(cycle, machine, mem, responses, report);
-        }
-    }
-}
-
-impl CoreHooks for SystemHooks {
-    fn override_prediction(&mut self, pc: Pc, base: bool, cycle: u64) -> Option<bool> {
-        match self {
-            SystemHooks::Baseline(h) => h.override_prediction(pc, base, cycle),
-            SystemHooks::Runahead(br) => br.override_prediction(pc, base, cycle),
-        }
-    }
-
-    fn on_branch_fetch(&mut self, b: &FetchedBranch) {
-        match self {
-            SystemHooks::Baseline(h) => h.on_branch_fetch(b),
-            SystemHooks::Runahead(br) => br.on_branch_fetch(b),
-        }
-    }
-
-    fn on_mispredict(
-        &mut self,
-        info: &MispredictInfo,
-        wrong_path: &[WrongPathUop],
-        cpu: &CpuState,
-    ) {
-        match self {
-            SystemHooks::Baseline(h) => h.on_mispredict(info, wrong_path, cpu),
-            SystemHooks::Runahead(br) => br.on_mispredict(info, wrong_path, cpu),
-        }
-    }
-
-    fn on_retire(&mut self, u: &RetiredUop) {
-        match self {
-            SystemHooks::Baseline(h) => h.on_retire(u),
-            SystemHooks::Runahead(br) => br.on_retire(u),
-        }
-    }
-
-    fn on_branch_retire(&mut self, b: &BranchOutcome) {
-        match self {
-            SystemHooks::Baseline(h) => h.on_branch_retire(b),
-            SystemHooks::Runahead(br) => br.on_branch_retire(b),
-        }
-    }
-}
 
 /// Results of one simulation run.
 #[derive(Clone, Debug)]
@@ -170,6 +68,36 @@ impl RunResult {
         }
     }
 
+    /// The run counts exported as telemetry counters, in export order:
+    /// the core's, then (with Branch Runahead attached) the engine's.
+    /// Every value is read from the statistics that own it.
+    #[must_use]
+    pub fn counters(&self) -> Vec<(&'static str, u64)> {
+        let c = &self.core;
+        let mut out = vec![
+            ("core.retired_uops", c.retired_uops),
+            ("core.retired_branches", c.retired_branches),
+            ("core.mispredicts", c.mispredicts),
+            ("core.recoveries", c.recoveries),
+            ("core.squashed_uops", c.squashed_uops),
+        ];
+        if let Some(b) = &self.br {
+            out.extend([
+                ("br.extraction_attempts", b.extraction_attempts),
+                ("br.chains_extracted", b.chains_extracted),
+                ("br.extraction_rejects", b.extraction_rejects),
+                ("br.dce_flushes", b.dce_flushes),
+                ("br.dce_syncs", b.syncs),
+                ("br.merge_events", b.merge_points_found),
+                ("br.hbt_inserts", b.hbt_inserts),
+                ("br.hbt_evicts", b.hbt_evicts),
+                ("br.faults_injected", self.faults.map_or(0, |f| f.total())),
+                ("br.machine_checks", b.machine_checks),
+            ]);
+        }
+        out
+    }
+
     /// Event counts for the energy model.
     #[must_use]
     pub fn energy_events(&self) -> EnergyEvents {
@@ -189,23 +117,14 @@ impl RunResult {
     }
 }
 
-/// Cumulative counter values at the previous interval sample; the
-/// sampler differences against these to get per-interval rates.
-#[derive(Clone, Copy, Debug, Default)]
-struct SampleSnapshot {
-    cycles: u64,
-    retired: u64,
-    mispredicts: u64,
-    l1_hits: u64,
-    l1_misses: u64,
-    retired_branches: u64,
-    covered: u64,
-    correct: u64,
-    incorrect: u64,
-    late: u64,
-    throttled: u64,
-    cc_lookups: u64,
-    cc_hits: u64,
+/// The statistics the interval sampler reads; it differences two of
+/// these to get per-interval rates.
+#[derive(Clone, Debug, Default)]
+struct Observed {
+    core: CoreStats,
+    mem: MemoryStats,
+    br: BrStats,
+    live: BrLiveState,
 }
 
 /// The interval sampler: snapshots the system every `interval` retired
@@ -216,7 +135,7 @@ struct Sampler {
     interval: u64,
     next: u64,
     samples: Vec<Sample>,
-    prev: SampleSnapshot,
+    prev: Observed,
 }
 
 fn rate(num: u64, den: u64) -> f64 {
@@ -233,62 +152,44 @@ impl Sampler {
             interval: interval.max(1),
             next: interval.max(1),
             samples: Vec::new(),
-            prev: SampleSnapshot::default(),
+            prev: Observed::default(),
         }
     }
 
-    fn take(&mut self, cycle: u64, core: &Core, mem: &MemorySystem, hooks: &SystemHooks) {
-        let cs = core.stats();
-        let ms = mem.stats();
-        let (br_stats, live) = match hooks.runahead() {
-            Some(br) => (Some(br.stats()), br.live_state()),
-            None => (None, BrLiveState::default()),
+    fn take(&mut self, cycle: u64, core: &Core, mem: &MemorySystem, br: Option<&BranchRunahead>) {
+        let now = Observed {
+            core: core.stats().clone(),
+            mem: mem.stats(),
+            br: br.map(BranchRunahead::stats).unwrap_or_default(),
+            live: br.map(BranchRunahead::live_state).unwrap_or_default(),
         };
-        let category = |cat: PredictionCategory| -> u64 {
-            br_stats
-                .as_ref()
-                .and_then(|s| s.prediction_breakdown.get(&cat).copied())
-                .unwrap_or(0)
-        };
-        let now = SampleSnapshot {
-            cycles: cs.cycles,
-            retired: cs.retired_uops,
-            mispredicts: cs.mispredicts,
-            l1_hits: ms.l1.hits,
-            l1_misses: ms.l1.misses,
-            retired_branches: cs.retired_branches,
-            covered: br_stats.as_ref().map_or(0, |s| s.covered_branch_retires),
-            correct: category(PredictionCategory::Correct),
-            incorrect: category(PredictionCategory::Incorrect),
-            late: category(PredictionCategory::Late),
-            throttled: category(PredictionCategory::Throttled),
-            cc_lookups: live.cache_lookups,
-            cc_hits: live.cache_hits,
-        };
-        let p = self.prev;
-        let d = |f: fn(&SampleSnapshot) -> u64| f(&now).saturating_sub(f(&p));
-        let d_covered = d(|s| s.covered);
+        let p = &self.prev;
+        let d = |f: &dyn Fn(&Observed) -> u64| f(&now).saturating_sub(f(p));
+        let cat = |c: PredictionCategory| d(&|o: &Observed| o.br.category_count(c));
+        let d_retired = d(&|o| o.core.retired_uops);
+        let d_covered = d(&|o| o.br.covered_branch_retires);
+        let d_l1_misses = d(&|o| o.mem.l1.misses);
         self.samples.push(Sample {
             cycle,
-            retired_uops: now.retired,
-            ipc: rate(d(|s| s.retired), d(|s| s.cycles)),
-            mpki: rate(d(|s| s.mispredicts), d(|s| s.retired)) * 1000.0,
-            l1_miss_rate: rate(d(|s| s.l1_misses), d(|s| s.l1_hits) + d(|s| s.l1_misses)),
+            retired_uops: now.core.retired_uops,
+            ipc: rate(d_retired, d(&|o| o.core.cycles)),
+            mpki: rate(d(&|o| o.core.mispredicts), d_retired) * 1000.0,
+            l1_miss_rate: rate(d_l1_misses, d(&|o| o.mem.l1.hits) + d_l1_misses),
             mshr_in_use: mem.mshrs_in_use() as u64,
-            dce_active: live.dce_active as u64,
-            queue_slots: live.queue_slots as u64,
-            cached_chains: live.cached_chains as u64,
-            chain_cache_hit_rate: rate(d(|s| s.cc_hits), d(|s| s.cc_lookups)),
-            coverage_rate: rate(d_covered, d(|s| s.retired_branches)),
-            late_rate: rate(d(|s| s.late), d_covered),
-            throttle_rate: rate(d(|s| s.throttled), d_covered),
-            correct_rate: rate(d(|s| s.correct), d_covered),
-            incorrect_rate: rate(d(|s| s.incorrect), d_covered),
+            dce_active: now.live.dce_active as u64,
+            queue_slots: now.live.queue_slots as u64,
+            cached_chains: now.live.cached_chains as u64,
+            chain_cache_hit_rate: rate(d(&|o| o.live.cache_hits), d(&|o| o.live.cache_lookups)),
+            coverage_rate: rate(d_covered, d(&|o| o.core.retired_branches)),
+            late_rate: rate(cat(PredictionCategory::Late), d_covered),
+            throttle_rate: rate(cat(PredictionCategory::Throttled), d_covered),
+            correct_rate: rate(cat(PredictionCategory::Correct), d_covered),
+            incorrect_rate: rate(cat(PredictionCategory::Incorrect), d_covered),
         });
-        self.prev = now;
-        while self.next <= now.retired {
+        while self.next <= now.core.retired_uops {
             self.next += self.interval;
         }
+        self.prev = now;
     }
 }
 
@@ -298,7 +199,9 @@ impl Sampler {
 pub struct System {
     core: Core,
     mem: MemorySystem,
-    hooks: SystemHooks,
+    /// The Branch Runahead engine; `None` is the baseline system, whose
+    /// core runs with [`NullHooks`].
+    br: Option<Box<BranchRunahead>>,
     max_cycles: u64,
     config_name: String,
     sampler: Option<Sampler>,
@@ -331,14 +234,16 @@ impl System {
             cfg.predictor.build(),
         );
         core.set_max_retired(cfg.max_retired);
-        let mut hooks = SystemHooks::from_config(&cfg, cfg.core.retire_width);
-        let config_name = match hooks.runahead() {
-            Some(br) => format!("{}+br-{}", cfg.predictor.name(), br.config().name),
+        let mut br = cfg
+            .runahead
+            .map(|rc| Box::new(BranchRunahead::new(rc, cfg.core.retire_width)));
+        let config_name = match &cfg.runahead {
+            Some(rc) => format!("{}+br-{}", cfg.predictor.name(), rc.name),
             None => cfg.predictor.name().to_string(),
         };
         let sampler = if cfg.telemetry.enabled {
             core.attach_telemetry(Telemetry::from_config(&cfg.telemetry));
-            if let Some(br) = hooks.runahead_mut() {
+            if let Some(br) = &mut br {
                 br.attach_telemetry(Telemetry::from_config(&cfg.telemetry));
             }
             Some(Sampler::new(cfg.telemetry.sample_interval))
@@ -348,7 +253,7 @@ impl System {
         System {
             core,
             mem: MemorySystem::new(cfg.memory),
-            hooks,
+            br,
             max_cycles: cfg.max_cycles,
             config_name,
             sampler,
@@ -376,7 +281,7 @@ impl System {
     /// structures, surfacing the first violation as a typed error.
     fn check_machine(&mut self, cycle: u64) -> Result<(), SimError> {
         let name = &self.config_name;
-        if let Some(br) = self.hooks.runahead_mut() {
+        if let Some(br) = &mut self.br {
             br.check_invariants(cycle)
                 .map_err(|what| SimError::InvariantViolation {
                     job: name.clone(),
@@ -389,10 +294,10 @@ impl System {
 
     /// Runs to completion (program halt, retired-uop budget, or the cycle
     /// safety cap) and returns the statistics. Baseline and Branch
-    /// Runahead systems share this single loop: the hooks enum decides
-    /// what observes the core, not the loop. When the configuration
-    /// carries a fault schedule the injector perturbs the BR/core
-    /// boundary each cycle; when machine checks are on, periodic
+    /// Runahead systems share this single loop: the core observes the
+    /// attached engine, or [`NullHooks`] without one. When the
+    /// configuration carries a fault schedule the injector perturbs the
+    /// BR/core boundary each cycle; when machine checks are on, periodic
     /// invariant sweeps abort the run with
     /// [`SimError::InvariantViolation`] at the first inconsistency.
     ///
@@ -407,33 +312,37 @@ impl System {
             last_cycle = cycle;
             let mut responses = std::mem::take(&mut self.resp_scratch);
             self.mem.tick_into(cycle, &mut responses);
-            if let Some(inj) = &mut self.injector {
-                if let Some(br) = self.hooks.runahead_mut() {
-                    let delayed_before = inj.stats().delayed_responses;
-                    responses = inj.filter_responses(cycle, responses, br);
-                    inj.note_delays(cycle, delayed_before, br);
-                    if inj.chaos_due(cycle) {
-                        inj.chaos_tick(cycle, br);
-                    }
+            let report = match self.br.as_deref_mut() {
+                None => self.core.tick(&responses, &mut self.mem, &mut NullHooks),
+                Some(br) => {
+                    let report = match &mut self.injector {
+                        Some(inj) => {
+                            let delayed_before = inj.stats().delayed_responses;
+                            responses = inj.filter_responses(cycle, responses, br);
+                            inj.note_delays(cycle, delayed_before, br);
+                            if inj.chaos_due(cycle) {
+                                inj.chaos_tick(cycle, br);
+                            }
+                            let mut hooks = FaultedHooks::new(br, inj);
+                            self.core.tick(&responses, &mut self.mem, &mut hooks)
+                        }
+                        None => self.core.tick(&responses, &mut self.mem, br),
+                    };
+                    // The DCE runs in the shadow of the core, consuming
+                    // the resources its tick left free.
+                    br.tick(
+                        cycle,
+                        self.core.machine(),
+                        &mut self.mem,
+                        &responses,
+                        &report,
+                    );
+                    report
                 }
-            }
-            let report = match &mut self.injector {
-                Some(inj) => {
-                    let mut hooks = FaultedHooks::new(&mut self.hooks, inj);
-                    self.core.tick(&responses, &mut self.mem, &mut hooks)
-                }
-                None => self.core.tick(&responses, &mut self.mem, &mut self.hooks),
             };
-            self.hooks.post_tick(
-                cycle,
-                self.core.machine(),
-                &mut self.mem,
-                &responses,
-                &report,
-            );
             if let Some(s) = &mut self.sampler {
                 if self.core.stats().retired_uops >= s.next {
-                    s.take(cycle, &self.core, &self.mem, &self.hooks);
+                    s.take(cycle, &self.core, &self.mem, self.br.as_deref());
                 }
             }
             if self.machine_check && cycle.is_multiple_of(MACHINE_CHECK_INTERVAL) {
@@ -448,22 +357,27 @@ impl System {
             // Terminal sweep: catch damage done after the last periodic one.
             self.check_machine(last_cycle)?;
         }
-        let telemetry = self.sampler.take().map(|s| {
-            let core_t = self.core.take_telemetry();
-            let br_t = self
-                .hooks
-                .runahead_mut()
-                .map_or_else(Telemetry::off, BranchRunahead::take_telemetry);
-            TelemetryRun::collect(s.samples, vec![core_t, br_t])
-        });
-        Ok(RunResult {
+        let mut result = RunResult {
             core: self.core.stats().clone(),
             mem: self.mem.stats(),
-            br: self.hooks.runahead().map(BranchRunahead::stats),
+            br: self.br.as_deref().map(BranchRunahead::stats),
             config_name: self.config_name.clone(),
-            telemetry,
+            telemetry: None,
             faults: self.injector.as_ref().map(FaultInjector::stats),
-        })
+        };
+        if let Some(s) = self.sampler.take() {
+            let core_t = self.core.take_telemetry();
+            let br_t = self
+                .br
+                .as_deref_mut()
+                .map_or_else(Telemetry::off, BranchRunahead::take_telemetry);
+            result.telemetry = Some(TelemetryRun::collect(
+                s.samples,
+                result.counters(),
+                vec![core_t, br_t],
+            ));
+        }
+        Ok(result)
     }
 
     /// The core (for inspection after a run).
@@ -475,7 +389,7 @@ impl System {
     /// The Branch Runahead system, if enabled.
     #[must_use]
     pub fn runahead(&self) -> Option<&BranchRunahead> {
-        self.hooks.runahead()
+        self.br.as_deref()
     }
 }
 

@@ -212,7 +212,7 @@ mod tests {
                 arg: 3,
             }],
             dropped_events: 1,
-            counters: vec![("core.retired_uops".into(), 5)],
+            counters: vec![("core.retired_uops", 5)],
             gauges: vec![("br.cached_chains".into(), 2)],
             histograms: vec![("br.chain_len".into(), {
                 let mut h = crate::Histogram::default();

@@ -1,8 +1,9 @@
-//! Telemetry acceptance: the collected record must *reconcile* with the
-//! end-of-run statistics it shadows (same underlying events, two views),
-//! the interval samples must advance monotonically, and a run with
-//! telemetry disabled must be byte-identical to one that never heard of
-//! the subsystem.
+//! Telemetry acceptance: the exported counters must be the end-of-run
+//! statistics that own them, every traced event kind must reconcile with
+//! the statistic counting it (same underlying events, two views), the
+//! interval samples must advance monotonically, and a run with telemetry
+//! disabled must be byte-identical to one that never heard of the
+//! subsystem.
 
 use branch_runahead::sim::{SimConfig, System, TelemetryConfig};
 use branch_runahead::telemetry::EventKind;
@@ -34,23 +35,27 @@ fn counters_reconcile_with_run_stats() {
     let r = run_with_telemetry();
     let t = r.telemetry.as_ref().expect("telemetry enabled");
     let br = r.br.as_ref().expect("BR enabled");
+    let faults = r.faults.map_or(0, |f| f.total());
 
-    assert_eq!(t.counter("core.retired_uops"), Some(r.core.retired_uops));
-    assert_eq!(
-        t.counter("core.retired_branches"),
-        Some(r.core.retired_branches)
-    );
-    assert_eq!(t.counter("core.mispredicts"), Some(r.core.mispredicts));
-    assert_eq!(
-        t.counter("br.extraction_attempts"),
-        Some(br.extraction_attempts)
-    );
-    assert_eq!(t.counter("br.chains_extracted"), Some(br.chains_extracted));
-    assert_eq!(
-        t.counter("br.extraction_rejects"),
-        Some(br.extraction_rejects)
-    );
-    assert_eq!(t.counter("br.dce_syncs"), Some(br.syncs));
+    // Each exported counter is its statistics field, read at collection.
+    let expected = vec![
+        ("core.retired_uops", r.core.retired_uops),
+        ("core.retired_branches", r.core.retired_branches),
+        ("core.mispredicts", r.core.mispredicts),
+        ("core.recoveries", r.core.recoveries),
+        ("core.squashed_uops", r.core.squashed_uops),
+        ("br.extraction_attempts", br.extraction_attempts),
+        ("br.chains_extracted", br.chains_extracted),
+        ("br.extraction_rejects", br.extraction_rejects),
+        ("br.dce_flushes", br.dce_flushes),
+        ("br.dce_syncs", br.syncs),
+        ("br.merge_events", br.merge_points_found),
+        ("br.hbt_inserts", br.hbt_inserts),
+        ("br.hbt_evicts", br.hbt_evicts),
+        ("br.faults_injected", faults),
+        ("br.machine_checks", br.machine_checks),
+    ];
+    assert_eq!(t.counters, expected);
 
     // The chain-length histogram shadows the stats' sum.
     let (_, hist) = t
@@ -66,22 +71,36 @@ fn counters_reconcile_with_run_stats() {
 fn events_reconcile_with_counters() {
     let r = run_with_telemetry();
     let t = r.telemetry.as_ref().expect("telemetry enabled");
+    let br = r.br.as_ref().expect("BR enabled");
     // Nothing dropped at this capacity, so each traced kind must match
-    // its counter exactly.
+    // the statistic that owns its count exactly.
     assert_eq!(t.dropped_events, 0, "ring too small for this run");
-    for (kind, counter) in [
-        (EventKind::ChainExtract, "br.chains_extracted"),
-        (EventKind::ChainReject, "br.extraction_rejects"),
-        (EventKind::DceSync, "br.dce_syncs"),
-        (EventKind::DceFlush, "br.dce_flushes"),
-        (EventKind::WpbMerge, "br.merge_events"),
-        (EventKind::HbtInsert, "br.hbt_inserts"),
-        (EventKind::Recovery, "core.recoveries"),
+    for (kind, owner, count) in [
+        (
+            EventKind::ChainExtract,
+            "chains_extracted",
+            br.chains_extracted,
+        ),
+        (
+            EventKind::ChainReject,
+            "extraction_rejects",
+            br.extraction_rejects,
+        ),
+        (EventKind::DceSync, "syncs", br.syncs),
+        (EventKind::DceFlush, "dce_flushes", br.dce_flushes),
+        (
+            EventKind::WpbMerge,
+            "merge_points_found",
+            br.merge_points_found,
+        ),
+        (EventKind::HbtInsert, "hbt_inserts", br.hbt_inserts),
+        (EventKind::HbtEvict, "hbt_evicts", br.hbt_evicts),
+        (EventKind::Recovery, "recoveries", r.core.recoveries),
     ] {
         assert_eq!(
             t.event_count(kind) as u64,
-            t.counter(counter).unwrap_or(0),
-            "{} events disagree with {counter}",
+            count,
+            "{} events disagree with {owner}",
             kind.name()
         );
     }
