@@ -1,6 +1,6 @@
 //! Component micro-benchmarks: the hot per-cycle primitives of the
 //! simulator (predictor lookup, cache access, DRAM tick, chain
-//! extraction, full-system cycle rate).
+//! extraction). Whole-simulator speed is `perfbench`'s to measure.
 //!
 //! Plain self-timing harness (`cargo bench -p br-bench`): each entry runs
 //! a fixed iteration count and reports mean wall-clock per iteration.
@@ -11,8 +11,7 @@ use std::time::Instant;
 
 use br_core::{extract_chain, CebRecord, ChainExtractionBuffer};
 use br_isa::Machine;
-use br_mem::{Cache, CacheConfig, Dram, DramConfig, MemoryConfig, MemorySystem, ReqSource};
-use br_ooo::{Core, CoreConfig, NullHooks};
+use br_mem::{Cache, CacheConfig, Dram, DramConfig};
 use br_predictor::{ConditionalPredictor, TageScl, TageSclConfig};
 use br_workloads::{workload_by_name, WorkloadParams};
 
@@ -96,39 +95,8 @@ fn bench_extraction() {
     });
 }
 
-fn bench_full_system() {
-    let w = workload_by_name("leela_17").unwrap();
-    let image = w.build(&WorkloadParams {
-        scale: 512,
-        iterations: 1_000_000,
-        seed: 1,
-    });
-    bench("core_cycles_per_sec_leela", 10, || {
-        let machine = Machine::new(image.memory.to_memory());
-        let mut core = Core::new(
-            CoreConfig::default(),
-            image.program.clone(),
-            machine,
-            Box::new(TageScl::new(TageSclConfig::kb64())),
-        );
-        core.set_max_retired(5_000);
-        let mut mem = MemorySystem::new(MemoryConfig::default());
-        let mut hooks = NullHooks;
-        for cycle in 0..100_000 {
-            let resps = mem.tick(cycle);
-            if core.tick(&resps, &mut mem, &mut hooks).done {
-                break;
-            }
-        }
-        core.stats().retired_uops
-    });
-
-    let _ = ReqSource::Core; // referenced to keep the import meaningful
-}
-
 fn main() {
     bench_predictor();
     bench_caches();
     bench_extraction();
-    bench_full_system();
 }

@@ -1,13 +1,13 @@
 //! A counting global allocator for the `bench-alloc` feature.
 //!
 //! Wraps the system allocator and counts every `alloc`/`alloc_zeroed`/
-//! `realloc` call in a relaxed atomic. The `figures` binary installs it as
-//! the global allocator when built with `--features bench-alloc`, letting
-//! `figures --bench` report heap allocations per simulation job — the
-//! direct measurement behind the allocation-free hot-loop claim.
+//! `realloc` call in a relaxed atomic. `perfbench` installs it as the
+//! global allocator to report allocations per layer, and the root
+//! `tests/alloc_budget.rs` installs it to gate heap allocations per
+//! simulation job — the direct check of the allocation-free hot loop.
 //!
 //! Counting is process-global, so readings are only meaningful while jobs
-//! run one at a time (which `figures --bench` guarantees).
+//! run one at a time on one thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};

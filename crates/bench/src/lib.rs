@@ -11,16 +11,19 @@
 //!   cargo run --release -p br-bench --bin figures -- --quick fig12
 //!   ```
 //!
-//! * the **timing benches** (`cargo bench -p br-bench`) time reduced
-//!   versions of each experiment plus component micro-benchmarks
-//!   (predictor lookups, cache accesses, chain extraction).
+//! * the **micro-benchmarks** (`cargo bench -p br-bench`) time the
+//!   per-cycle primitives (predictor lookup, cache access, DRAM tick,
+//!   chain extraction) and the telemetry facade's disabled- and
+//!   enabled-path cost.
+//!
+//! Whole-simulator speed is measured by `perfbench/` alone; with the
+//! `bench-alloc` feature this crate provides the counting allocator it
+//! and `tests/alloc_budget.rs` install.
 //!
 //! The experiment logic itself lives in [`br_sim::experiments`]; this
 //! crate only drives it.
 
 #![warn(missing_docs)]
-
-pub mod perf;
 
 #[cfg(feature = "bench-alloc")]
 pub mod alloc_count;

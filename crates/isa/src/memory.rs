@@ -68,7 +68,7 @@ impl MemoryImage {
         }
     }
 
-    /// Reads back a value (useful in tests).
+    /// Reads `width` bytes at `addr` (little-endian, zero-extended).
     #[must_use]
     pub fn read(&self, addr: u64, width: Width) -> u64 {
         let mut v = 0u64;
@@ -94,7 +94,7 @@ impl MemoryImage {
     #[must_use]
     pub fn into_memory(self) -> JournaledMemory {
         JournaledMemory {
-            pages: self.pages,
+            image: self,
             journal: VecDeque::new(),
             base: 0,
         }
@@ -106,11 +106,7 @@ impl MemoryImage {
     /// cheaper than re-running the workload generator.
     #[must_use]
     pub fn to_memory(&self) -> JournaledMemory {
-        JournaledMemory {
-            pages: self.pages.clone(),
-            journal: VecDeque::new(),
-            base: 0,
-        }
+        self.clone().into_memory()
     }
 }
 
@@ -126,9 +122,11 @@ struct UndoEntry {
 }
 
 /// Byte-addressable sparse memory with store journaling for speculative
-/// execution. See the module docs for the checkpoint/rollback protocol.
+/// execution. The pages live in a [`MemoryImage`]; the journal beside it
+/// holds the undo entries. See the module docs for the checkpoint/rollback
+/// protocol.
 pub struct JournaledMemory {
-    pages: HashMap<u64, Box<[u8; PAGE_SIZE]>>,
+    image: MemoryImage,
     journal: VecDeque<UndoEntry>,
     /// Journal position of `journal[0]`.
     base: u64,
@@ -137,7 +135,7 @@ pub struct JournaledMemory {
 impl fmt::Debug for JournaledMemory {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("JournaledMemory")
-            .field("pages", &self.pages.len())
+            .field("pages", &self.image.page_count())
             .field("journal_len", &self.journal.len())
             .finish()
     }
@@ -153,35 +151,14 @@ impl JournaledMemory {
     /// Reads `width` bytes at `addr` (little-endian, zero-extended).
     #[must_use]
     pub fn read(&self, addr: u64, width: Width) -> u64 {
-        let mut v = 0u64;
-        for i in 0..width.bytes() {
-            v |= u64::from(self.read_byte(addr + i)) << (8 * i);
-        }
-        v
-    }
-
-    fn read_byte(&self, addr: u64) -> u8 {
-        self.pages
-            .get(&(addr >> PAGE_SHIFT))
-            .map_or(0, |p| p[(addr as usize) & (PAGE_SIZE - 1)])
+        self.image.read(addr, width)
     }
 
     /// Writes `width` bytes at `addr`, journaling the previous contents.
     pub fn write(&mut self, addr: u64, width: Width, value: u64) {
-        let old = self.read(addr, width);
+        let old = self.image.read(addr, width);
         self.journal.push_back(UndoEntry { addr, width, old });
-        self.write_raw(addr, width, value);
-    }
-
-    fn write_raw(&mut self, addr: u64, width: Width, value: u64) {
-        for i in 0..width.bytes() {
-            let a = addr + i;
-            let page = self
-                .pages
-                .entry(a >> PAGE_SHIFT)
-                .or_insert_with(|| Box::new([0u8; PAGE_SIZE]));
-            page[(a as usize) & (PAGE_SIZE - 1)] = (value >> (8 * i)) as u8;
-        }
+        self.image.write(addr, width, value);
     }
 
     /// The current journal position; stores after this call can be undone
@@ -209,7 +186,7 @@ impl JournaledMemory {
                 .journal
                 .pop_back()
                 .expect("journal length accounted above");
-            self.write_raw(e.addr, e.width, e.old);
+            self.image.write(e.addr, e.width, e.old);
         }
     }
 
@@ -250,6 +227,28 @@ mod tests {
         assert_eq!(img.read(0x2004, Width::B4), 2);
         let mem = img.into_memory();
         assert_eq!(mem.read(0x1000, Width::B8), 0xdead_beef_cafe_f00d);
+    }
+
+    #[test]
+    fn copies_of_a_shared_image_are_independent() {
+        let mut img = MemoryImage::new();
+        img.write(0x40, Width::B8, 7);
+        let mut a = img.to_memory();
+        let mark = a.mark();
+        a.write(0x40, Width::B8, 8);
+        a.write(0x3000, Width::B4, 9);
+        assert_eq!(a.read(0x40, Width::B8), 8);
+        assert_eq!(img.read(0x40, Width::B8), 7);
+        assert_eq!(img.page_count(), 1, "a copy's new page stays in the copy");
+        let b = img.to_memory();
+        assert_eq!(b.read(0x40, Width::B8), 7);
+        assert_eq!(b.read(0x3000, Width::B4), 0);
+        a.rollback_to(mark);
+        assert_eq!(a.read(0x40, Width::B8), 7);
+        assert_eq!(a.read(0x3000, Width::B4), 0);
+        assert_eq!(img.read(0x40, Width::B8), 7);
+        assert_eq!(img.page_count(), 1);
+        assert_eq!(b.read(0x40, Width::B8), 7);
     }
 
     #[test]

@@ -1,13 +1,23 @@
 #!/usr/bin/env python3
-"""Builds EXPERIMENTS.md from figures_full.txt (the `figures all` output).
+"""Builds EXPERIMENTS.md from the stdout of `figures all`.
 
-Keeps the hand-written methodology header of EXPERIMENTS.md (everything up
-to the `<!-- RESULTS -->` marker) and appends one section per experiment:
-the paper's claim, the measured table, and the verdict commentary below.
+Usage:
+    cargo run --release -p br-bench --bin figures -- all > figures_all.txt
+    python3 tools/gen_experiments.py figures_all.txt [EXPERIMENTS_MD]
+
+Keeps the hand-written methodology header of the repository's
+EXPERIMENTS.md (everything up to the `<!-- RESULTS -->` marker) and
+appends one section per experiment: the paper's claim, the measured
+table, and the verdict commentary below. Writes EXPERIMENTS_MD (default:
+the repository's EXPERIMENTS.md). Exits nonzero, writing nothing, when
+an experiment's section is missing from the figures output.
 """
 
 import re
 import sys
+from pathlib import Path
+
+REPO_DOC = Path(__file__).resolve().parent.parent / "EXPERIMENTS.md"
 
 COMMENTARY = {
     "table1": (
@@ -186,24 +196,28 @@ ORDER = [
 
 
 def main() -> None:
-    full = open("figures_full.txt").read()
+    if len(sys.argv) not in (2, 3):
+        sys.exit(__doc__)
+    figures_out = Path(sys.argv[1])
+    target = Path(sys.argv[2]) if len(sys.argv) == 3 else REPO_DOC
+    full = figures_out.read_text(encoding="utf-8")
     sections = {}
     for m in re.finditer(r"=== (\S+) ===\n(.*?)(?=\n=== |\Z)", full, re.S):
         sections[m.group(1)] = m.group(2).strip("\n")
+    missing = [name for name in ORDER if name not in sections]
+    if missing:
+        sys.exit(f"{figures_out}: missing sections: {', '.join(missing)}")
 
-    head = open("EXPERIMENTS.md").read().split("<!-- RESULTS -->")[0]
+    head = REPO_DOC.read_text(encoding="utf-8").split("<!-- RESULTS -->")[0]
     out = [head + "<!-- RESULTS -->\n"]
     for name in ORDER:
-        if name not in sections:
-            print(f"warning: {name} missing from figures_full.txt", file=sys.stderr)
-            continue
         title, paper, verdict = COMMENTARY[name]
         out.append(f"\n## {title}\n")
         out.append(f"\n**Paper.** {paper}\n")
         out.append(f"\n```text\n{sections[name]}\n```\n")
         out.append(f"\n**Measured.** {verdict}\n")
-    open("EXPERIMENTS.md", "w").write("".join(out))
-    print(f"EXPERIMENTS.md written with {len(sections)} sections")
+    target.write_text("".join(out), encoding="utf-8")
+    print(f"{target} written with {len(ORDER)} sections")
 
 
 if __name__ == "__main__":
